@@ -47,8 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import networkx as nx
-
 __all__ = ["TxnTemplate", "RobustnessReport", "certify",
            "smallbank_templates", "ycsb_templates"]
 
@@ -144,6 +142,8 @@ def certify(templates: Iterable[TxnTemplate], level: str) -> RobustnessReport:
         return RobustnessReport(level=level, robust=True, templates=names)
     if level not in ("read_committed", "snapshot"):
         raise ValueError(f"unknown isolation level {level!r}")
+
+    import networkx as nx
 
     graph = nx.DiGraph()
     graph.add_nodes_from(names)

@@ -110,3 +110,16 @@ def test_mixed_classes_counted_separately():
                     _committed(3, {"q": 0}, ["p"], 3),
                     _committed(4, {"p": 0}, ["q"], 3))
     assert _nonzero(report) == {"lost_update": 1, "write_skew": 1}
+
+
+def test_cycle_longer_than_bound_reports_one_witness():
+    """A 7-transaction write-skew ring has no cycle within the length
+    bound; the report falls back to one unbounded witness and says so."""
+    ring = [_committed(i, {f"k{(i + 1) % 7}": 0}, [f"k{i}"], 1)
+            for i in range(7)]
+    report = _check(*ring)
+    assert not report.serializable
+    assert report.cycles == [report.cycle] and len(report.cycle) == 7
+    assert _nonzero(report) == {"write_skew": 1}
+    assert report.notes == [
+        "no cycle within length 6; reporting one unbounded witness"]
